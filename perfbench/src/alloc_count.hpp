@@ -1,0 +1,8 @@
+#pragma once
+
+#include <cstdint>
+
+namespace perfbench {
+/// Heap allocations made through operator new since process start.
+std::uint64_t alloc_count();
+}  // namespace perfbench
