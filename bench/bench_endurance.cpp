@@ -21,7 +21,6 @@
 // every number here is byte-identical run to run.
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <iostream>
 #include <sstream>
 
@@ -32,17 +31,7 @@
 #include "treesched/util/stopwatch.hpp"
 
 using namespace treesched;
-
-namespace {
-
-std::string json_num(double v) {
-  if (!std::isfinite(v)) return "null";
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
-}  // namespace
+using util::json_num;
 
 int main(int argc, char** argv) {
   util::Cli cli("bench_endurance",

@@ -17,7 +17,6 @@
 // Every repetition's seed is split_seed(seed, fixed grid index), so the
 // table is byte-identical run to run.
 #include <cmath>
-#include <cstdio>
 #include <iostream>
 #include <optional>
 #include <sstream>
@@ -25,6 +24,7 @@
 #include "treesched/treesched.hpp"
 
 using namespace treesched;
+using util::json_num;
 
 namespace {
 
@@ -40,13 +40,6 @@ Tree find_tree(const std::string& name) {
   for (const auto& nt : experiments::standard_trees())
     if (nt.name == name) return nt.tree;
   throw std::invalid_argument("unknown tree '" + name + "'");
-}
-
-std::string json_num(double v) {
-  if (!std::isfinite(v)) return "null";
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
 }
 
 struct Cell {

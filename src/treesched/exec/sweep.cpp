@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <limits>
 #include <map>
 #include <memory>
@@ -29,6 +27,7 @@
 #include "treesched/util/log.hpp"
 #include "treesched/util/rng.hpp"
 #include "treesched/util/stopwatch.hpp"
+#include "treesched/util/string_util.hpp"
 #include "treesched/util/table.hpp"
 #include "treesched/workload/generator.hpp"
 #include "treesched/workload/trace_io.hpp"
@@ -37,17 +36,10 @@ namespace treesched::exec {
 
 namespace {
 
-std::string fmt(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
-/// JSON numbers: NaN/inf have no JSON representation, so completed-job
-/// averages of an empty set (fully shed cells) serialize as null.
-std::string json_num(double v) {
-  return std::isfinite(v) ? fmt(v) : std::string("null");
-}
+using util::exact_num;
+// Completed-job averages of an empty set (fully shed cells) are NaN and
+// serialize as JSON null.
+using util::json_num;
 
 std::string quoted(const std::string& s) {
   std::string out = "\"";
@@ -103,11 +95,11 @@ Grid resolve(const SweepSpec& in) {
   for (const double e : g.spec.eps_grid)
     if (e <= 0.0)
       throw std::invalid_argument("sweep: eps must be positive, got " +
-                                  fmt(e));
+                                  exact_num(e));
   for (const double r : g.spec.fault_rates)
     if (r < 0.0)
       throw std::invalid_argument(
-          "sweep: fault rates must be non-negative, got " + fmt(r));
+          "sweep: fault rates must be non-negative, got " + exact_num(r));
   if (!g.spec.fault_rates.empty() && g.spec.fault_mttr <= 0.0)
     throw std::invalid_argument("sweep: fault mttr must be positive");
   if (g.spec.fault_horizon < 0.0)
@@ -148,17 +140,17 @@ std::uint64_t spec_fingerprint(const SweepSpec& spec) {
   os << "sweep-grid-v2";
   for (const auto& p : spec.policies) os << "|p=" << p;
   for (const auto& t : spec.trees) os << "|t=" << t;
-  for (const double e : spec.eps_grid) os << "|e=" << fmt(e);
-  for (const double r : spec.fault_rates) os << "|f=" << fmt(r);
+  for (const double e : spec.eps_grid) os << "|e=" << exact_num(e);
+  for (const double r : spec.fault_rates) os << "|f=" << exact_num(r);
   os << "|seeds=" << spec.seeds << "|base=" << spec.base_seed
-     << "|jobs=" << spec.jobs << "|load=" << fmt(spec.load);
+     << "|jobs=" << spec.jobs << "|load=" << exact_num(spec.load);
   if (!spec.fault_rates.empty())
-    os << "|mttr=" << fmt(spec.fault_mttr)
-       << "|horizon=" << fmt(spec.fault_horizon);
+    os << "|mttr=" << exact_num(spec.fault_mttr)
+       << "|horizon=" << exact_num(spec.fault_horizon);
   for (const auto& sp : spec.shed_policies) os << "|shed=" << sp;
   if (!spec.shed_policies.empty())
-    os << "|cap=" << fmt(spec.queue_cap)
-       << "|slack=" << fmt(spec.deadline_slack);
+    os << "|cap=" << exact_num(spec.queue_cap)
+       << "|slack=" << exact_num(spec.deadline_slack);
   const std::string s = os.str();
   std::uint64_t h = 1469598103934665603ULL;  // FNV-1a 64
   for (const char c : s) {
@@ -168,26 +160,20 @@ std::uint64_t spec_fingerprint(const SweepSpec& spec) {
   return h;
 }
 
-/// Append-only checkpoint journal. One flushed line per completed task, so
-/// a kill loses at most the line in flight; the trailing "ok" token lets the
-/// reader drop a torn tail instead of resurrecting a half-written double.
+/// Append-only checkpoint journal: a header written whole, then one
+/// durable record per completed task (util::append_line_durable), so a kill
+/// loses at most the record in flight and util::read_journal drops it as a
+/// torn tail. Failpoint site "checkpoint.append".
 class Checkpoint {
  public:
-  Checkpoint(const std::string& path, std::uint64_t fingerprint, bool resume) {
-    bool append = false;
-    if (resume && std::filesystem::exists(path)) {
-      load(path, fingerprint);
-      append = true;
+  Checkpoint(std::string path, std::uint64_t fingerprint, bool resume)
+      : path_(std::move(path)) {
+    if (resume && std::filesystem::exists(path_)) {
+      load(fingerprint);
+      return;
     }
-    out_.open(path, append ? (std::ios::out | std::ios::app)
-                           : (std::ios::out | std::ios::trunc));
-    if (!out_)
-      throw std::runtime_error("cannot open checkpoint journal '" + path +
-                               "' for writing");
-    if (!append) {
-      out_ << "sweepjournal 2\nfingerprint " << fingerprint << '\n';
-      out_.flush();
-    }
+    util::write_file_atomic(path_, "sweepjournal 2\nfingerprint " +
+                                       std::to_string(fingerprint) + '\n');
   }
 
   const std::map<std::size_t, SweepTask>& completed() const { return done_; }
@@ -195,55 +181,47 @@ class Checkpoint {
   /// Thread-safe: called from pool workers as tasks finish.
   void record(const SweepTask& t) {
     if (t.status != TaskStatus::kOk) return;
+    std::ostringstream os;
+    os << "task " << t.index << ' ' << exact_num(t.ratio) << ' '
+       << exact_num(t.alg_flow) << ' ' << exact_num(t.lower_bound) << ' '
+       << exact_num(t.mean_flow) << ' ' << exact_num(t.goodput) << ' '
+       << t.completed << ' ' << t.shed_jobs << " ok";
     const std::lock_guard<std::mutex> lock(mu_);
-    out_ << "task " << t.index << ' ' << fmt(t.ratio) << ' '
-         << fmt(t.alg_flow) << ' ' << fmt(t.lower_bound) << ' '
-         << fmt(t.mean_flow) << ' ' << fmt(t.goodput) << ' ' << t.completed
-         << ' ' << t.shed_jobs << " ok\n";
-    out_.flush();
+    util::append_line_durable(path_, os.str(), "checkpoint.append");
   }
 
  private:
-  void load(const std::string& path, std::uint64_t fingerprint) {
-    std::ifstream in(path);
-    if (!in)
-      throw std::runtime_error("cannot read checkpoint journal '" + path +
+  void load(std::uint64_t fingerprint) {
+    const std::optional<util::Journal> journal = util::read_journal(path_);
+    if (!journal)
+      throw std::runtime_error("cannot read checkpoint journal '" + path_ +
                                "'");
-    std::string line;
+    const std::vector<util::JournalRecord>& recs = journal->records;
     // Version 2 added goodput / completed / shed-count columns; resuming a
     // version-1 journal would silently drop them, so it is refused.
-    if (!std::getline(in, line) || line != "sweepjournal 2")
+    if (recs.empty() || recs[0].text != "sweepjournal 2")
       throw std::invalid_argument(
-          "'" + path +
+          "'" + path_ +
           "' is not a sweepjournal-2 checkpoint (pre-overload journals "
           "cannot be resumed; rerun without --resume)");
-    std::uint64_t fp = 0;
-    {
-      std::string tag;
-      if (!std::getline(in, line))
-        throw std::invalid_argument("checkpoint journal '" + path +
-                                    "' is missing its fingerprint");
-      std::istringstream ls(line);
-      if (!(ls >> tag >> fp) || tag != "fingerprint")
-        throw std::invalid_argument("checkpoint journal '" + path +
-                                    "' is missing its fingerprint");
-    }
-    if (fp != fingerprint)
+    if (recs.size() < 2 || recs[1].text.rfind("fingerprint ", 0) != 0)
+      throw std::invalid_argument("checkpoint journal '" + path_ +
+                                  "' is missing its fingerprint");
+    if (recs[1].text != "fingerprint " + std::to_string(fingerprint))
       throw std::invalid_argument(
-          "checkpoint journal '" + path +
+          "checkpoint journal '" + path_ +
           "' belongs to a different sweep grid; rerun without --resume or "
           "point --checkpoint elsewhere");
-    while (std::getline(in, line)) {
-      std::istringstream ls(line);
+    for (std::size_t i = 2; i < recs.size(); ++i) {
+      std::istringstream ls(recs[i].text);
       std::string tag, tail;
       // Doubles go through stod, not operator>>: a fully-shed cell journals
       // its mean flow as "nan", which stream extraction need not accept.
       std::string ratio, alg_flow, lower_bound, mean_flow, goodput;
       SweepTask t;
-      if (!(ls >> tag >> t.index >> ratio >> alg_flow >> lower_bound >>
-            mean_flow >> goodput >> t.completed >> t.shed_jobs >> tail) ||
-          tag != "task" || tail != "ok")
-        break;  // torn tail from a killed run: everything after is suspect
+      bool ok = (ls >> tag >> t.index >> ratio >> alg_flow >> lower_bound >>
+                 mean_flow >> goodput >> t.completed >> t.shed_jobs >> tail) &&
+                tag == "task" && tail == "ok";
       try {
         t.ratio = std::stod(ratio);
         t.alg_flow = std::stod(alg_flow);
@@ -251,15 +229,20 @@ class Checkpoint {
         t.mean_flow = std::stod(mean_flow);
         t.goodput = std::stod(goodput);
       } catch (const std::exception&) {
-        break;
+        ok = false;
       }
+      if (!ok)
+        throw std::invalid_argument(
+            "checkpoint journal '" + path_ + "' line " +
+            std::to_string(recs[i].line) + " is corrupt: '" + recs[i].text +
+            "' (rerun without --resume)");
       t.status = TaskStatus::kOk;
       done_[t.index] = t;
     }
   }
 
+  std::string path_;
   std::mutex mu_;
-  std::ofstream out_;
   std::map<std::size_t, SweepTask> done_;
 };
 
@@ -586,44 +569,46 @@ std::string sweep_json(const SweepResult& r, bool include_timing) {
     os << (i ? ", " : "") << quoted(spec.trees[i]);
   os << "],\n    \"eps\": [";
   for (std::size_t i = 0; i < spec.eps_grid.size(); ++i)
-    os << (i ? ", " : "") << fmt(spec.eps_grid[i]);
+    os << (i ? ", " : "") << exact_num(spec.eps_grid[i]);
   os << "],\n";
   if (faulty) {
     os << "    \"fault_rates\": [";
     for (std::size_t i = 0; i < spec.fault_rates.size(); ++i)
-      os << (i ? ", " : "") << fmt(spec.fault_rates[i]);
-    os << "],\n    \"fault_mttr\": " << fmt(spec.fault_mttr)
-       << ",\n    \"fault_horizon\": " << fmt(spec.fault_horizon) << ",\n";
+      os << (i ? ", " : "") << exact_num(spec.fault_rates[i]);
+    os << "],\n    \"fault_mttr\": " << exact_num(spec.fault_mttr)
+       << ",\n    \"fault_horizon\": " << exact_num(spec.fault_horizon)
+       << ",\n";
   }
   if (shedding) {
     os << "    \"shed_policies\": [";
     for (std::size_t i = 0; i < spec.shed_policies.size(); ++i)
       os << (i ? ", " : "") << quoted(spec.shed_policies[i]);
-    os << "],\n    \"queue_cap\": " << fmt(spec.queue_cap)
-       << ",\n    \"deadline_slack\": " << fmt(spec.deadline_slack) << ",\n";
+    os << "],\n    \"queue_cap\": " << exact_num(spec.queue_cap)
+       << ",\n    \"deadline_slack\": " << exact_num(spec.deadline_slack)
+       << ",\n";
   }
   os << "    \"seeds\": " << spec.seeds
      << ",\n    \"base_seed\": " << spec.base_seed
      << ",\n    \"jobs\": " << spec.jobs
-     << ",\n    \"load\": " << fmt(spec.load)
-     << ",\n    \"timeout_ms\": " << fmt(spec.timeout_ms) << "\n  },\n";
+     << ",\n    \"load\": " << exact_num(spec.load)
+     << ",\n    \"timeout_ms\": " << exact_num(spec.timeout_ms) << "\n  },\n";
 
   os << "  \"cells\": [\n";
   for (std::size_t i = 0; i < r.cells.size(); ++i) {
     const SweepCellStats& c = r.cells[i];
     os << "    {\"policy\": " << quoted(spec.policies[c.policy_i])
        << ", \"tree\": " << quoted(spec.trees[c.tree_i])
-       << ", \"eps\": " << fmt(spec.eps_grid[c.eps_i]);
+       << ", \"eps\": " << exact_num(spec.eps_grid[c.eps_i]);
     if (faulty)
-      os << ", \"fault_rate\": " << fmt(spec.fault_rates[c.fault_i]);
+      os << ", \"fault_rate\": " << exact_num(spec.fault_rates[c.fault_i]);
     if (shedding)
       os << ", \"shed_policy\": " << quoted(spec.shed_policies[c.shed_i]);
     os << ", \"count\": " << c.count << ", \"skipped\": " << c.skipped
-       << ", \"ratio_mean\": " << fmt(c.ratio_mean)
-       << ", \"ratio_ci95\": [" << fmt(c.ratio_ci_lo) << ", "
-       << fmt(c.ratio_ci_hi) << "]"
-       << ", \"ratio_min\": " << fmt(c.ratio_min)
-       << ", \"ratio_max\": " << fmt(c.ratio_max)
+       << ", \"ratio_mean\": " << exact_num(c.ratio_mean)
+       << ", \"ratio_ci95\": [" << exact_num(c.ratio_ci_lo) << ", "
+       << exact_num(c.ratio_ci_hi) << "]"
+       << ", \"ratio_min\": " << exact_num(c.ratio_min)
+       << ", \"ratio_max\": " << exact_num(c.ratio_max)
        << ", \"mean_flow\": " << json_num(c.mean_flow);
     if (shedding)
       os << ", \"goodput_mean\": " << json_num(c.goodput_mean)
@@ -643,16 +628,16 @@ std::string sweep_json(const SweepResult& r, bool include_timing) {
     os << "    {\"index\": " << t.index << ", \"policy\": "
        << quoted(spec.policies[t.policy_i])
        << ", \"tree\": " << quoted(spec.trees[t.tree_i])
-       << ", \"eps\": " << fmt(spec.eps_grid[t.eps_i]);
+       << ", \"eps\": " << exact_num(spec.eps_grid[t.eps_i]);
     if (faulty)
-      os << ", \"fault_rate\": " << fmt(spec.fault_rates[t.fault_i]);
+      os << ", \"fault_rate\": " << exact_num(spec.fault_rates[t.fault_i]);
     if (shedding)
       os << ", \"shed_policy\": " << quoted(spec.shed_policies[t.shed_i]);
     os << ", \"seed_index\": " << t.seed_index << ", \"seed\": " << t.seed
        << ", \"status\": \"" << status << "\""
-       << ", \"ratio\": " << fmt(t.ratio)
-       << ", \"alg_flow\": " << fmt(t.alg_flow)
-       << ", \"lower_bound\": " << fmt(t.lower_bound);
+       << ", \"ratio\": " << exact_num(t.ratio)
+       << ", \"alg_flow\": " << exact_num(t.alg_flow)
+       << ", \"lower_bound\": " << exact_num(t.lower_bound);
     if (shedding)
       os << ", \"goodput\": " << json_num(t.goodput)
          << ", \"completed\": " << t.completed
@@ -674,11 +659,11 @@ std::string sweep_json(const SweepResult& r, bool include_timing) {
     // Everything below varies run to run; it is opt-in so the default
     // document stays byte-identical across thread counts.
     os << ",\n  \"timing\": {\"threads\": " << r.threads_used
-       << ", \"wall_ms\": " << fmt(r.wall_ms)
-       << ", \"task_ms_sum\": " << fmt(r.task_ms_sum)
+       << ", \"wall_ms\": " << exact_num(r.wall_ms)
+       << ", \"task_ms_sum\": " << exact_num(r.task_ms_sum)
        << ", \"resumed\": " << r.resumed
        << ", \"speedup_estimate\": "
-       << fmt(r.wall_ms > 0.0 ? r.task_ms_sum / r.wall_ms : 0.0) << "}";
+       << exact_num(r.wall_ms > 0.0 ? r.task_ms_sum / r.wall_ms : 0.0) << "}";
   }
   os << "\n}\n";
   return os.str();

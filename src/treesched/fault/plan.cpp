@@ -1,9 +1,9 @@
 #include "treesched/fault/plan.hpp"
 
 #include "treesched/util/fs.hpp"
+#include "treesched/util/string_util.hpp"
 #include <algorithm>
 #include <cctype>
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -16,11 +16,7 @@ namespace {
   throw std::invalid_argument("fault plan: " + msg);
 }
 
-std::string fmt(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
+using util::exact_num;
 
 /// Minimal strict JSON scanner — just enough for the fault-plan schema
 /// (objects, arrays, strings, numbers). No escapes beyond \" and \\.
@@ -135,7 +131,7 @@ void FaultPlan::validate(const Tree& tree) const {
   for (std::size_t i = 0; i < events.size(); ++i) {
     const FaultEvent& e = events[i];
     const std::string where = "event " + std::to_string(i);
-    if (e.t < 0.0) bad(where + ": negative time " + fmt(e.t));
+    if (e.t < 0.0) bad(where + ": negative time " + exact_num(e.t));
     if (e.t < prev)
       bad(where + ": events not sorted by time (call normalize())");
     prev = e.t;
@@ -170,7 +166,8 @@ void FaultPlan::validate(const Tree& tree) const {
         break;
       case FaultKind::kSlow:
         if (!(e.factor > 0.0))
-          bad(where + ": slow factor must be > 0 (got " + fmt(e.factor) + ")");
+          bad(where + ": slow factor must be > 0 (got " +
+              exact_num(e.factor) + ")");
         break;
     }
   }
@@ -182,8 +179,9 @@ std::string FaultPlan::to_json() const {
   for (std::size_t i = 0; i < events.size(); ++i) {
     const FaultEvent& e = events[i];
     os << "    {\"kind\": \"" << fault_kind_name(e.kind) << "\", \"t\": "
-       << fmt(e.t) << ", \"node\": " << e.node;
-    if (e.kind == FaultKind::kSlow) os << ", \"factor\": " << fmt(e.factor);
+       << exact_num(e.t) << ", \"node\": " << e.node;
+    if (e.kind == FaultKind::kSlow)
+      os << ", \"factor\": " << exact_num(e.factor);
     os << "}" << (i + 1 < events.size() ? "," : "") << '\n';
   }
   os << "  ]\n}\n";
@@ -225,7 +223,8 @@ FaultPlan parse_plan_json(const std::string& text) {
                   const double v = in.number_value();
                   e.node = static_cast<NodeId>(v);
                   if (static_cast<double>(e.node) != v)
-                    bad("event node must be an integer (got " + fmt(v) + ")");
+                    bad("event node must be an integer (got " +
+                        exact_num(v) + ")");
                   has_node = true;
                 } else if (field == "factor") {
                   e.factor = in.number_value();

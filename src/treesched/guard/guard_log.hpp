@@ -6,9 +6,11 @@
 // they deliberately live OUTSIDE the segmented run log: a guard line must
 // never change a segment byte or the fingerprint chain the kill/resume
 // differential byte-compares. The sidecar is line-oriented and appended
-// with util::append_line_durable — one write(2) per record, torn tails
-// healed — so the supervisor and its child can share one file and a crash
-// mid-append can tear at most the final line (which the parser tolerates).
+// with util::append_line_durable (failpoint site "guard.append") — one
+// write(2) per record, torn tails healed — so the supervisor and its child
+// can share one file and a crash mid-append can tear at most the final
+// line. The audit reads it with util::read_journal, which drops torn
+// records under util/fs.hpp's rule and leaves every other line to judge.
 //
 // Format (one record per line):
 //
@@ -83,6 +85,7 @@ struct GuardAuditResult {
   std::size_t watchdog_events = 0;
   std::size_t supervisor_events = 0;
   Stage max_stage = Stage::kNormal;   ///< deepest ladder stage reached
+  std::size_t torn_records = 0;       ///< torn records dropped unjudged
 };
 
 /// Offline verification of a guard log (rules in the file comment). A

@@ -1,21 +1,15 @@
 #include "treesched/guard/health.hpp"
 
 #include <cctype>
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 
 #include "treesched/util/fs.hpp"
+#include "treesched/util/string_util.hpp"
 
 namespace treesched::guard {
 
 namespace {
-
-std::string fmt_double(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
 
 std::optional<std::string> slurp(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -66,9 +60,9 @@ std::string encode_child_status(const ChildStatus& s) {
      << "  \"schema\": \"treesched-child-status-v1\",\n"
      << "  \"arrivals\": " << s.arrivals << ",\n"
      << "  \"window\": " << s.window << ",\n"
-     << "  \"rho_hat\": " << fmt_double(s.rho_hat) << ",\n"
+     << "  \"rho_hat\": " << util::exact_num(s.rho_hat) << ",\n"
      << "  \"stage\": \"" << stage_name(s.stage) << "\",\n"
-     << "  \"t_s\": " << fmt_double(s.t_s) << "\n"
+     << "  \"t_s\": " << util::exact_num(s.t_s) << "\n"
      << "}\n";
   return os.str();
 }
@@ -116,7 +110,7 @@ std::string encode_health(const HealthStatus& h) {
     os << ",\n"
        << "  \"arrivals\": " << h.child.arrivals << ",\n"
        << "  \"window\": " << h.child.window << ",\n"
-       << "  \"rho_hat\": " << fmt_double(h.child.rho_hat) << ",\n"
+       << "  \"rho_hat\": " << util::exact_num(h.child.rho_hat) << ",\n"
        << "  \"stage\": \"" << stage_name(h.child.stage) << "\"\n";
   else
     os << "\n";

@@ -6,6 +6,7 @@
 #include <fstream>
 #include <iomanip>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 
@@ -112,28 +113,31 @@ void SegmentedRunLogWriter::resume(std::size_t next_index,
   TS_REQUIRE(!started_ && pending_.empty() && next_index_ == 0 && !finalized_,
              "resume must precede start_fresh and all event feeding");
   started_ = true;
-  std::ifstream in(cfg_.base_path);
-  TS_REQUIRE(static_cast<bool>(in),
+  const std::optional<util::Journal> manifest =
+      util::read_journal(cfg_.base_path);
+  TS_REQUIRE(manifest.has_value(),
              "resume: cannot open manifest " + cfg_.base_path);
   std::ostringstream kept;
   std::size_t seg_lines = 0;
-  std::string line;
-  while (std::getline(in, line) && seg_lines < next_index) {
-    std::istringstream ls(line);
+  for (const util::JournalRecord& rec : manifest->records) {
+    std::istringstream ls(rec.text);
     std::string tag;
     ls >> tag;
     if (tag == "final") break;  // stale trailer from the killed run
     if (tag == "segment") {
+      if (seg_lines == next_index) break;  // entries past the snapshot
       std::size_t idx = 0, n = 0;
       std::uint64_t fp = 0, ch = 0;
-      if (!(ls >> idx >> n >> fp >> ch) || idx != seg_lines)
-        break;  // torn or out-of-order tail: drop it and everything after
+      const bool parsed =
+          static_cast<bool>(ls >> idx >> n >> fp >> ch) && idx == seg_lines;
+      TS_REQUIRE(parsed, "resume: corrupt manifest line " +
+                             std::to_string(rec.line) + ": " + rec.text);
       ++seg_lines;
       if (seg_lines == next_index)
         TS_REQUIRE(ch == chain,
                    "resume: manifest chain does not match the snapshot");
     }
-    kept << line << '\n';
+    kept << rec.text << '\n';
   }
   TS_REQUIRE(seg_lines == next_index,
              "resume: manifest has fewer segments than the snapshot");
@@ -210,44 +214,13 @@ void SegmentedRunLogWriter::commit(bool force) {
   chain_ = chain_step(chain_, fp);
   util::write_file_atomic(segment_log_path(cfg_.base_path, next_index_),
                           content);
-  // Manifest entry: append + flush, so at worst a crash tears this one line
-  // (which readers drop as a torn tail).
+  // Manifest entry: one durable append, so at worst a crash tears this one
+  // line (which readers drop as a torn tail). Failpoint site
+  // "manifest.append" (util::append_line_durable documents the kinds).
   std::ostringstream entry;
   entry << "segment " << next_index_ << ' ' << pending_.size() << ' ' << fp
-        << ' ' << chain_ << '\n';
-  std::string entry_line = entry.str();
-  // Failpoint seam "manifest.append": enospc / fsync-fail fail loudly;
-  // torn-write appends only a prefix of the entry line SILENTLY — the torn
-  // tail readers must tolerate, and the resume ladder must detect as a
-  // too-short manifest.
-  if (const auto hit = util::failpoint_hit("manifest.append")) {
-    switch (hit->kind) {
-      case util::FailKind::kEnospc:
-        throw std::runtime_error("cannot append to manifest " +
-                                 cfg_.base_path +
-                                 ": injected ENOSPC (failpoint "
-                                 "manifest.append)");
-      case util::FailKind::kFsyncFail:
-        throw std::runtime_error("manifest append failed: " + cfg_.base_path +
-                                 ": injected fsync failure (failpoint "
-                                 "manifest.append)");
-      case util::FailKind::kTornWrite:
-        entry_line = util::apply_torn(entry_line);
-        break;
-      case util::FailKind::kBitFlip:
-        entry_line = util::apply_bit_flip(entry_line);
-        break;
-      case util::FailKind::kShortRead:
-        break;  // a read-side kind; meaningless at the append seam
-    }
-  }
-  std::ofstream manifest(cfg_.base_path, std::ios::app);
-  TS_REQUIRE(static_cast<bool>(manifest),
-             "cannot append to manifest " + cfg_.base_path);
-  manifest << entry_line;
-  manifest.flush();
-  TS_REQUIRE(static_cast<bool>(manifest),
-             "manifest append failed: " + cfg_.base_path);
+        << ' ' << chain_;
+  util::append_line_durable(cfg_.base_path, entry.str(), "manifest.append");
   pending_.clear();
   ++next_index_;
 }
@@ -260,15 +233,11 @@ void SegmentedRunLogWriter::write_final(std::uint64_t arrivals,
   commit(true);
   TS_REQUIRE(!finalized_, "segmented log already finalized");
   finalized_ = true;
-  std::ofstream manifest(cfg_.base_path, std::ios::app);
-  TS_REQUIRE(static_cast<bool>(manifest),
-             "cannot append to manifest " + cfg_.base_path);
-  manifest << std::setprecision(17);
-  manifest << "final " << arrivals << ' ' << completed << ' ' << shed << ' '
-           << rejected << ' ' << total_flow << ' ' << makespan << '\n';
-  manifest.flush();
-  TS_REQUIRE(static_cast<bool>(manifest),
-             "manifest finalize failed: " + cfg_.base_path);
+  std::ostringstream trailer;
+  trailer << std::setprecision(17);
+  trailer << "final " << arrivals << ' ' << completed << ' ' << shed << ' '
+          << rejected << ' ' << total_flow << ' ' << makespan;
+  util::append_line_durable(cfg_.base_path, trailer.str());
 }
 
 // ---------------------------------------------------------------------------
@@ -301,7 +270,7 @@ struct LiveJob {
   std::size_t hop = 0;
   double acc = 0.0;          ///< work done on the current hop
   double data_ready_t = 0.0;  ///< when the current hop's data arrived
-  double finish_t = -1.0;     ///< leaf requirement met at this instant
+  double last_t1 = -1.0;      ///< end of the current hop's latest burst
 };
 
 class SegmentAuditor {
@@ -344,19 +313,16 @@ class SegmentAuditor {
   }
 
   bool parse_manifest(const std::string& path) {
-    std::ifstream in(path);
-    if (!in) {
+    const std::optional<util::Journal> journal = util::read_journal(path);
+    if (!journal) {
       fail(0, "cannot open manifest: " + path);
       return false;
     }
-    std::vector<std::string> lines;
-    std::string line;
-    while (std::getline(in, line)) lines.push_back(util::trim(line));
     bool header = false;
-    for (std::size_t i = 0; i < lines.size(); ++i) {
-      const bool last = i + 1 == lines.size();
-      if (lines[i].empty() || lines[i][0] == '#') continue;
-      std::istringstream ls(lines[i]);
+    for (const util::JournalRecord& rec : journal->records) {
+      const std::string line = util::trim(rec.text);
+      if (line.empty() || line[0] == '#') continue;
+      std::istringstream ls(line);
       std::string tag;
       ls >> tag;
       bool ok = true;
@@ -409,13 +375,8 @@ class SegmentAuditor {
         ok = false;
       }
       if (!ok) {
-        // Torn-tail tolerance (PR 3 journal rule): a malformed FINAL line is
-        // the expected residue of a kill mid-append; anything earlier is
-        // corruption.
-        if (!last) {
-          fail(m_.entries.size(), "malformed manifest line: " + lines[i]);
-          return false;
-        }
+        fail(m_.entries.size(), "malformed manifest line: " + line);
+        return false;
       }
     }
     if (!header) {
@@ -637,28 +598,30 @@ class SegmentAuditor {
       return;
     }
     LiveJob& lj = it->second;
-    const NodeId want = lj.path[lj.hop];
-    if (node != want) {
-      if (lj.hop + 1 < lj.path.size() && node == lj.path[lj.hop + 1])
-        fail(idx, "store-and-forward violated (work before data): " + line);
-      else
+    if (node != lj.path[lj.hop]) {
+      // A hop ends when the job's next hop starts (or its done line
+      // arrives), never when its accumulated work looks complete: the
+      // engine finishes a hop only when the completion event fires, so a
+      // preempted job may leave a residue below any tolerance and run it
+      // later on the same node.
+      if (lj.hop + 1 >= lj.path.size() || node != lj.path[lj.hop + 1]) {
         fail(idx, "burst off the job's current hop: " + line);
-      return;
+        return;
+      }
+      if (lj.acc < lj.size - tol_for(lj.size)) {
+        fail(idx, "store-and-forward violated (work before data): " + line);
+        return;
+      }
+      ++lj.hop;
+      lj.acc = 0.0;
+      lj.data_ready_t = lj.last_t1;
     }
     if (t0 < lj.data_ready_t - tol_for(lj.data_ready_t))
       fail(idx, "hop started before its data arrived: " + line);
     lj.acc += (t1 - t0) * rate;
+    lj.last_t1 = t1;
     if (lj.acc > lj.size + tol_for(lj.size))
       fail(idx, "more work than the requirement: " + line);
-    if (lj.acc >= lj.size - tol_for(lj.size)) {
-      if (lj.hop + 1 < lj.path.size()) {
-        ++lj.hop;
-        lj.acc = 0.0;
-        lj.data_ready_t = t1;
-      } else {
-        lj.finish_t = t1;
-      }
-    }
   }
 
   void check_done(std::size_t idx, std::uint64_t job, double t) {
@@ -668,9 +631,9 @@ class SegmentAuditor {
       return;
     }
     const LiveJob& lj = it->second;
-    if (lj.hop + 1 != lj.path.size() || lj.finish_t < 0.0)
+    if (lj.hop + 1 != lj.path.size() || lj.acc < lj.size - tol_for(lj.size))
       fail(idx, "done before the requirement was met: " + std::to_string(job));
-    else if (std::abs(t - lj.finish_t) > tol_for(t))
+    else if (std::abs(t - lj.last_t1) > tol_for(t))
       fail(idx, "done time disagrees with the final burst: " +
                     std::to_string(job));
     // Flow recomputation in completion order, compensated — by the

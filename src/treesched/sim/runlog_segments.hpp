@@ -39,9 +39,9 @@
 //
 // Chain rule: chain_i = fnv1a(decimal(chain_{i-1}) + ":" + decimal(fp_i)),
 // chain_{-1} = the FNV offset basis. Segment files are written atomically;
-// the manifest is append+flush per segment, so a crash can tear at most its
-// final line — readers tolerate (ignore) a torn tail, mirroring the PR 3
-// sweep journal.
+// the manifest header is written whole and every later line is a durable
+// journal append (util::append_line_durable), so the writer and the audit
+// share util/fs.hpp's torn-record rule.
 #pragma once
 
 #include <cstdint>
@@ -58,8 +58,8 @@ namespace treesched::sim {
 /// Streaming writer. Feed events in engine order (global job ids — window
 /// bases already applied by the driver); call commit() at safe points
 /// (after a full recorder drain) to close segments; finish with
-/// write_final(). All file writes go through util/fs atomics or
-/// append+flush as documented above.
+/// write_final(). All file writes go through util/fs (atomic rewrites and
+/// durable appends) as documented above.
 class SegmentedRunLogWriter {
  public:
   struct Config {
@@ -80,9 +80,10 @@ class SegmentedRunLogWriter {
 
   /// Resume after a kill: rewrites the existing manifest atomically keeping
   /// only the header and segment entries [0, next_index) — stale entries and
-  /// torn tails from the killed run disappear — and restores the fingerprint
-  /// chain position (verified against the kept entries). Header parameters
-  /// must match the original run.
+  /// torn records from the killed run disappear — and restores the
+  /// fingerprint chain position (verified against the kept entries). A
+  /// corrupt entry among the kept ones throws. Header parameters must match
+  /// the original run.
   void resume(std::size_t next_index, std::uint64_t chain);
 
   // Event feed (times must be monotone in the sort key, which engine order

@@ -4,8 +4,11 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include <fcntl.h>
 #include <sys/stat.h>
@@ -22,6 +25,64 @@ namespace {
                            "': " + std::strerror(errno));
 }
 
+/// fail() for an open descriptor: closes `fd` (and unlinks `tmp` when
+/// given) without letting either clobber the errno being reported.
+[[noreturn]] void fail_closing(int fd, const std::string& what,
+                               const std::string& path,
+                               const char* tmp = nullptr) {
+  const int saved = errno;
+  ::close(fd);
+  if (tmp != nullptr) ::unlink(tmp);
+  errno = saved;
+  fail(what, path);
+}
+
+/// Writes all of `bytes` to `fd`, retrying short writes and EINTR.
+bool write_all(int fd, const std::string& bytes) {
+  std::size_t off = 0;
+  while (off < bytes.size()) {
+    const ::ssize_t n = ::write(fd, bytes.data() + off, bytes.size() - off);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return false;
+    }
+    off += static_cast<std::size_t>(n);
+  }
+  return true;
+}
+
+/// A write seam's failpoint verdict: a loud failure at one stage, or a
+/// silently corrupted payload (torn-write, bit-flip) — storage that lied
+/// about durability, which only checking readers can catch.
+struct WriteFault {
+  bool enospc = false;
+  bool fsync_fail = false;
+  std::optional<std::string> payload;
+};
+
+WriteFault write_fault(const char* site, const std::string& payload) {
+  WriteFault f;
+  const auto hit = site != nullptr ? failpoint_hit(site) : std::nullopt;
+  if (!hit) return f;
+  switch (hit->kind) {
+    case FailKind::kEnospc:
+      f.enospc = true;
+      break;
+    case FailKind::kFsyncFail:
+      f.fsync_fail = true;
+      break;
+    case FailKind::kTornWrite:
+      f.payload = apply_torn(payload);
+      break;
+    case FailKind::kBitFlip:
+      f.payload = apply_bit_flip(payload);
+      break;
+    case FailKind::kShortRead:
+      break;  // a read fault has no meaning at a write seam
+  }
+  return f;
+}
+
 /// fsync the directory containing `path`, so the rename that just landed a
 /// new directory entry survives power loss. rename(2) alone only orders the
 /// entry in page cache; the metadata reaches disk when the DIRECTORY is
@@ -32,46 +93,23 @@ void fsync_parent_dir(const std::string& path) {
   const std::string dir = parent.empty() ? std::string(".") : parent.string();
   const int dfd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
   if (dfd < 0) fail("cannot open parent directory of", path);
-  if (::fsync(dfd) != 0) {
-    const int saved = errno;
-    ::close(dfd);
-    errno = saved;
-    fail("fsync failed for parent directory of", path);
-  }
+  if (::fsync(dfd) != 0)
+    fail_closing(dfd, "fsync failed for parent directory of", path);
   ::close(dfd);
+}
+
+bool ends_with_marker(const std::string& text) {
+  const std::size_t n = std::strlen(kTornMarker);
+  return text.size() >= n &&
+         text.compare(text.size() - n, n, kTornMarker) == 0;
 }
 
 }  // namespace
 
 void write_file_atomic(const std::string& path, const std::string& content) {
-  // Failpoint seam (site "fs.atomic", one evaluation per call): enospc and
-  // fsync-fail abort loudly at the matching stage; torn-write and bit-flip
-  // corrupt the payload and SUCCEED silently — modeling storage that lied
-  // about durability, which is exactly what checksummed readers must catch.
-  bool inject_enospc = false;
-  bool inject_fsync_fail = false;
-  const std::string* payload = &content;
-  std::string corrupted;
-  if (const auto hit = failpoint_hit("fs.atomic")) {
-    switch (hit->kind) {
-      case FailKind::kEnospc:
-        inject_enospc = true;
-        break;
-      case FailKind::kFsyncFail:
-        inject_fsync_fail = true;
-        break;
-      case FailKind::kTornWrite:
-        corrupted = apply_torn(content);
-        payload = &corrupted;
-        break;
-      case FailKind::kBitFlip:
-        corrupted = apply_bit_flip(content);
-        payload = &corrupted;
-        break;
-      case FailKind::kShortRead:
-        break;  // a read fault has no meaning at a write seam
-    }
-  }
+  // Failpoint seam "fs.atomic", one evaluation per call.
+  const WriteFault fault = write_fault("fs.atomic", content);
+  const std::string& payload = fault.payload ? *fault.payload : content;
 
   // Same-directory temporary: rename() is only atomic within a filesystem,
   // and a pid suffix keeps concurrent writers off each other's temp file.
@@ -79,39 +117,18 @@ void write_file_atomic(const std::string& path, const std::string& content) {
   const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
   if (fd < 0) fail("cannot create temporary file", tmp);
 
-  if (inject_enospc) {
-    ::close(fd);
-    ::unlink(tmp.c_str());
+  if (fault.enospc) {
     errno = ENOSPC;
-    fail("write failed for", tmp);
+    fail_closing(fd, "write failed for", tmp, tmp.c_str());
   }
-  std::size_t off = 0;
-  while (off < payload->size()) {
-    const ::ssize_t n =
-        ::write(fd, payload->data() + off, payload->size() - off);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      const int saved = errno;
-      ::close(fd);
-      ::unlink(tmp.c_str());
-      errno = saved;
-      fail("write failed for", tmp);
-    }
-    off += static_cast<std::size_t>(n);
-  }
-  if (inject_fsync_fail) {
-    ::close(fd);
-    ::unlink(tmp.c_str());
+  if (!write_all(fd, payload))
+    fail_closing(fd, "write failed for", tmp, tmp.c_str());
+  if (fault.fsync_fail) {
     errno = EIO;
-    fail("fsync failed for", tmp);
+    fail_closing(fd, "fsync failed for", tmp, tmp.c_str());
   }
-  if (::fsync(fd) != 0) {
-    const int saved = errno;
-    ::close(fd);
-    ::unlink(tmp.c_str());
-    errno = saved;
-    fail("fsync failed for", tmp);
-  }
+  if (::fsync(fd) != 0)
+    fail_closing(fd, "fsync failed for", tmp, tmp.c_str());
   if (::close(fd) != 0) {
     ::unlink(tmp.c_str());
     fail("close failed for", tmp);
@@ -133,85 +150,72 @@ void append_line_durable(const std::string& path, const std::string& line,
   if (line.find('\n') != std::string::npos)
     throw std::runtime_error("append_line_durable: record for '" + path +
                              "' contains a newline");
-  bool inject_fsync_fail = false;
+  if (ends_with_marker(line))
+    throw std::runtime_error("append_line_durable: record for '" + path +
+                             "' ends with the torn marker");
+  // A torn-write keeps the first half of the record, never its newline: the
+  // torn tail the next append must heal.
   std::string record = line + '\n';
-  if (failpoint_site != nullptr) {
-    if (const auto hit = failpoint_hit(failpoint_site)) {
-      switch (hit->kind) {
-        case FailKind::kEnospc:
-          errno = ENOSPC;
-          fail("append failed for", path);
-        case FailKind::kFsyncFail:
-          inject_fsync_fail = true;
-          break;
-        case FailKind::kTornWrite:
-          // Storage lied: a newline-less prefix reaches the file and the
-          // call SUCCEEDS — the torn tail the next append must heal.
-          record = apply_torn(record);
-          if (!record.empty() && record.back() == '\n') record.pop_back();
-          break;
-        case FailKind::kBitFlip:
-          record = apply_bit_flip(record);
-          break;
-        case FailKind::kShortRead:
-          break;  // a read fault has no meaning at a write seam
-      }
-    }
+  WriteFault fault = write_fault(failpoint_site, record);
+  if (fault.enospc) {
+    errno = ENOSPC;
+    fail("append failed for", path);
   }
+  if (fault.payload) record = std::move(*fault.payload);
 
-  // O_RDWR, not O_WRONLY: the tail-heal below preads the last byte, which a
-  // write-only descriptor refuses.
+  // O_RDWR, not O_WRONLY: the tail check below preads the last byte, which
+  // a write-only descriptor refuses.
   const int fd = ::open(path.c_str(), O_RDWR | O_CREAT | O_APPEND, 0644);
   if (fd < 0) fail("cannot open for append", path);
 
-  // Heal a torn tail from a previous crash: if the file does not end in a
-  // newline, a lone '\n' first turns the torn record into its own truncated
-  // line so the new record never concatenates onto it.
+  // Heal a torn tail from a previous crash: mark the fragment so readers
+  // drop it, and end its line so the new record never concatenates onto it.
   struct ::stat st{};
-  if (::fstat(fd, &st) != 0) {
-    const int saved = errno;
-    ::close(fd);
-    errno = saved;
-    fail("fstat failed for", path);
-  }
-  if (st.st_size > 0) {
-    char tail = '\n';
-    if (::pread(fd, &tail, 1, st.st_size - 1) == 1 && tail != '\n') {
-      if (::write(fd, "\n", 1) != 1) {
-        const int saved = errno;
-        ::close(fd);
-        errno = saved;
-        fail("append (tail heal) failed for", path);
-      }
-    }
-  }
+  if (::fstat(fd, &st) != 0) fail_closing(fd, "fstat failed for", path);
+  char tail = '\n';
+  if (st.st_size > 0 && ::pread(fd, &tail, 1, st.st_size - 1) == 1 &&
+      tail != '\n')
+    record = kTornMarker + ("\n" + record);
 
-  // One write(2) for the whole record: concurrent O_APPEND appenders never
+  // One write(2) for heal plus record: concurrent O_APPEND appenders never
   // interleave mid-record, and a crash tears at most this final line.
-  std::size_t off = 0;
-  while (off < record.size()) {
-    const ::ssize_t n = ::write(fd, record.data() + off, record.size() - off);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      const int saved = errno;
-      ::close(fd);
-      errno = saved;
-      fail("append failed for", path);
-    }
-    off += static_cast<std::size_t>(n);
-  }
-  if (inject_fsync_fail) {
-    ::close(fd);
+  if (!write_all(fd, record)) fail_closing(fd, "append failed for", path);
+  if (fault.fsync_fail) {
     errno = EIO;
-    fail("fsync failed for", path);
+    fail_closing(fd, "fsync failed for", path);
   }
-  if (::fsync(fd) != 0) {
-    const int saved = errno;
-    ::close(fd);
-    errno = saved;
-    fail("fsync failed for", path);
-  }
+  if (::fsync(fd) != 0) fail_closing(fd, "fsync failed for", path);
   if (::close(fd) != 0) fail("close failed for", path);
+}
+
+std::optional<Journal> read_journal(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) return std::nullopt;
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  if (in.bad()) fail("read failed for", path);
+  const std::string bytes = buf.str();
+
+  Journal j;
+  std::size_t line_no = 0;
+  std::size_t pos = 0;
+  while (pos < bytes.size()) {
+    ++line_no;
+    const std::size_t nl = bytes.find('\n', pos);
+    if (nl == std::string::npos) {  // unterminated last line: torn tail
+      j.torn.push_back(bytes.substr(pos));
+      break;
+    }
+    std::string text = bytes.substr(pos, nl - pos);
+    pos = nl + 1;
+    if (ends_with_marker(text)) {
+      text.resize(text.size() - std::strlen(kTornMarker));
+      j.torn.push_back(std::move(text));
+    } else {
+      j.records.push_back({line_no, std::move(text)});
+    }
+  }
+  return j;
 }
 
 }  // namespace treesched::util

@@ -1,6 +1,8 @@
 #include "treesched/util/string_util.hpp"
 
 #include <cctype>
+#include <cmath>
+#include <cstdio>
 
 namespace treesched::util {
 
@@ -39,6 +41,16 @@ std::string join(const std::vector<std::string>& parts,
 bool starts_with(const std::string& s, const std::string& prefix) {
   return s.size() >= prefix.size() &&
          s.compare(0, prefix.size(), prefix) == 0;
+}
+
+std::string exact_num(double v) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%.17g", v);
+  return buf;
+}
+
+std::string json_num(double v) {
+  return std::isfinite(v) ? exact_num(v) : std::string("null");
 }
 
 }  // namespace treesched::util

@@ -19,4 +19,11 @@ std::string join(const std::vector<std::string>& parts,
 /// True if s starts with the given prefix.
 bool starts_with(const std::string& s, const std::string& prefix);
 
+/// `v` with 17 significant digits ("%.17g"), enough to round-trip exactly.
+std::string exact_num(double v);
+
+/// exact_num for finite `v`; "null" for NaN and infinities, which JSON
+/// cannot represent.
+std::string json_num(double v);
+
 }  // namespace treesched::util

@@ -1,6 +1,8 @@
 // Empirical verification of the structural lemmas (1, 2, 3/phi, 4).
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "treesched/algo/lemma_monitors.hpp"
 #include "treesched/algo/policies.hpp"
 #include "treesched/algo/potential.hpp"
@@ -11,14 +13,17 @@
 namespace treesched {
 namespace {
 
+// gtest names each case after the raw bytes of its parameter, so the struct
+// must have no padding: 64-bit tree_id keeps those bytes (and names) stable.
 struct LemmaCase {
-  int tree_id;
+  std::int64_t tree_id;
   double eps;
   double load;
   std::uint64_t seed;
 };
+static_assert(sizeof(LemmaCase) == 4 * 8, "LemmaCase must not be padded");
 
-Tree lemma_tree(int id) {
+Tree lemma_tree(std::int64_t id) {
   switch (id) {
     case 0: return builders::star_of_paths(2, 4);
     case 1: return builders::fat_tree(2, 2, 2);

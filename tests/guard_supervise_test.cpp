@@ -422,8 +422,8 @@ TEST_F(GuardAppendTest, AppendsAndHealsTornTail) {
   // Simulated crash mid-append: a newline-less tail lands on disk.
   spill(path, "first\nsecond-torn-rec");
   util::append_line_durable(path, "third");
-  // The torn record became its own truncated line; "third" starts clean.
-  EXPECT_EQ(slurp(path), "first\nsecond-torn-rec\nthird\n");
+  // The torn record became its own marked line; "third" starts clean.
+  EXPECT_EQ(slurp(path), "first\nsecond-torn-rec <torn>\nthird\n");
 
   EXPECT_THROW(util::append_line_durable(path, "two\nlines"),
                std::runtime_error);
@@ -436,7 +436,7 @@ TEST_F(GuardAppendTest, TornWriteFailpointSucceedsSilentlyThenHeals) {
   util::append_line_durable(path, "hello", "x.append");  // must NOT throw
   EXPECT_EQ(slurp(path), "hel");  // newline-less prefix: storage lied
   util::append_line_durable(path, "world", "x.append");  // failpoint spent
-  EXPECT_EQ(slurp(path), "hel\nworld\n");
+  EXPECT_EQ(slurp(path), "hel <torn>\nworld\n");
 }
 
 TEST_F(GuardAppendTest, EnospcFailpointThrowsLoudly) {

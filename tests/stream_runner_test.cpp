@@ -4,10 +4,13 @@
 // differential in-process.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <memory>
 #include <sstream>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "treesched/algo/policies.hpp"
@@ -16,6 +19,7 @@
 #include "treesched/sim/engine.hpp"
 #include "treesched/sim/run_log.hpp"
 #include "treesched/sim/runlog_segments.hpp"
+#include "treesched/util/csum.hpp"
 #include "treesched/workload/stream.hpp"
 
 using namespace treesched;
@@ -55,6 +59,55 @@ std::string slurp(const std::string& path) {
   std::ostringstream os;
   os << in.rdbuf();
   return os.str();
+}
+
+// A hand-built segmented log on root -> router 1 -> machine 2, unit speeds:
+// each job is (release, size) and lands on machine 2; bursts and
+// completions are fed as given, completions in time order.
+struct HandBurst {
+  NodeId node;
+  std::uint64_t job;
+  double t0, t1;
+};
+struct HandDone {
+  std::uint64_t job;
+  double t;
+};
+
+sim::SegmentAuditResult audit_hand_log(
+    const std::string& name, const std::vector<std::pair<double, double>>& jobs,
+    const std::vector<HandBurst>& bursts, const std::vector<HandDone>& done) {
+  const Tree tree = builders::star_of_paths(1, 1);
+  EXPECT_EQ(tree.kind(2), NodeKind::kMachine);
+  const std::string path = fresh_dir(name) + "/manifest.log";
+  sim::SegmentedRunLogWriter w(
+      {path, 4096}, tree, std::vector<double>(uidx(tree.node_count()), 1.0),
+      sim::NodePolicy::kSjf, 0.0, overload::ShedConfig{});
+  w.start_fresh();
+  for (std::size_t k = 0; k < jobs.size(); ++k)
+    w.on_admit(k, jobs[k].first, 1.0, jobs[k].second, 2);
+  for (const HandBurst& b : bursts) {
+    sim::Segment seg;
+    seg.node = b.node;
+    seg.t0 = b.t0;
+    seg.t1 = b.t1;
+    w.on_burst(seg, b.job);
+  }
+  util::CompensatedSum flow;
+  double makespan = 0.0;
+  for (const HandDone& d : done) {
+    w.on_done(d.job, d.t);
+    flow.add(d.t - jobs[d.job].first);
+    makespan = std::max(makespan, d.t);
+  }
+  w.write_final(jobs.size(), done.size(), 0, 0, flow.value(), makespan);
+  return sim::audit_segments(path);
+}
+
+bool has_violation(const sim::SegmentAuditResult& a, const std::string& what) {
+  for (const auto& v : a.violations)
+    if (v.message.find(what) != std::string::npos) return true;
+  return false;
 }
 
 }  // namespace
@@ -238,4 +291,54 @@ TEST(StreamRunnerTest, SheddingStreamAuditsClean) {
   EXPECT_TRUE(audit.ok) << (audit.violations.empty()
                                 ? "no violations?"
                                 : audit.violations.front().message);
+}
+
+// --- audit_segments hop accounting ----------------------------------------
+
+// Minimised from run_stream on fat_tree(2,2,2), stream seed split_seed(8,
+// 107), rho 0.7, bounded-Pareto sizes, paper policy, eps 0.5: a job is
+// preempted on its first hop with 9.3e-5 of 112 units left — under the
+// default tolerance — and runs that residue after another job. The hop
+// ends when the next hop starts, so the residue is on the current hop.
+TEST(SegmentAuditHops, ResidueBelowToleranceStaysOnTheCurrentHop) {
+  const auto audit = audit_hand_log(
+      "audit_hop_residue", {{0.0, 112.0}, {100.0, 1.0}},
+      {{1, 0, 0.0, 111.999907},
+       {1, 1, 111.999907, 112.999907},
+       {1, 0, 112.999907, 113.0},
+       {2, 1, 112.999907, 113.999907},
+       {2, 0, 113.999907, 225.999907}},
+      {{1, 113.999907}, {0, 225.999907}});
+  for (const auto& v : audit.violations)
+    ADD_FAILURE() << "segment " << v.segment << ": " << v.message;
+  EXPECT_TRUE(audit.ok);
+  EXPECT_EQ(audit.completed, 2u);
+}
+
+TEST(SegmentAuditHops, RejectsNextHopBeforeTheRequirement) {
+  const auto audit = audit_hand_log("audit_hop_early", {{0.0, 2.0}},
+                                    {{1, 0, 0.0, 1.0}, {2, 0, 1.0, 3.0}},
+                                    {{0, 3.0}});
+  EXPECT_TRUE(has_violation(audit, "store-and-forward violated"));
+}
+
+TEST(SegmentAuditHops, RejectsWorkBackOnAFinishedHop) {
+  const auto audit = audit_hand_log(
+      "audit_hop_back", {{0.0, 2.0}},
+      {{1, 0, 0.0, 2.0}, {2, 0, 2.0, 3.0}, {1, 0, 3.0, 3.5}}, {});
+  EXPECT_TRUE(has_violation(audit, "burst off the job's current hop"));
+}
+
+TEST(SegmentAuditHops, RejectsHopStartedBeforeItsData) {
+  const auto audit = audit_hand_log("audit_hop_data", {{0.0, 2.0}},
+                                    {{1, 0, 0.0, 2.0}, {2, 0, 1.5, 3.5}},
+                                    {{0, 3.5}});
+  EXPECT_TRUE(has_violation(audit, "hop started before its data arrived"));
+}
+
+TEST(SegmentAuditHops, RejectsDoneBeforeTheRequirement) {
+  const auto audit = audit_hand_log("audit_hop_done", {{0.0, 2.0}},
+                                    {{1, 0, 0.0, 2.0}, {2, 0, 2.0, 3.0}},
+                                    {{0, 3.0}});
+  EXPECT_TRUE(has_violation(audit, "done before the requirement was met"));
 }

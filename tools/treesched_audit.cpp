@@ -75,9 +75,13 @@ int main(int argc, char** argv) {
                 << res.watchdog_events << " watchdog event(s), "
                 << res.supervisor_events << " supervisor event(s), "
                 << "max stage " << guard::stage_name(res.max_stage) << ")\n";
-      if (!quiet)
+      if (!quiet) {
+        if (res.torn_records > 0)
+          std::cout << "  " << res.torn_records
+                    << " torn record(s) dropped unjudged\n";
         for (const auto& v : res.violations)
           std::cout << "  line " << v.line << ": " << v.message << '\n';
+      }
       return res.ok ? 0 : 2;
     }
     if (!segments.empty()) {

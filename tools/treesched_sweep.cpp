@@ -18,11 +18,12 @@
 // keeps the default output deterministic.
 //
 // Robustness: --retries N re-runs transiently failing tasks with capped
-// exponential backoff; --checkpoint journals every finished task (flushed
-// per line); --resume skips everything the journal already covers and still
-// produces JSON byte-identical to an uninterrupted run. SIGINT/SIGTERM
-// cancel the sweep cleanly: pending tasks are dropped, in-flight tasks
-// finish and land in the journal, and no final JSON is written.
+// exponential backoff; --checkpoint journals every finished task (one
+// fsynced record each); --resume skips everything the journal already
+// covers and still produces JSON byte-identical to an uninterrupted run.
+// SIGINT/SIGTERM cancel the sweep cleanly: pending tasks are dropped,
+// in-flight tasks finish and land in the journal, and no final JSON is
+// written.
 //
 // Exit codes: 0 = clean, 2 = usage/config error (bad flag value, unknown
 // policy/tree, eps <= 0, unwritable --record-dir, foreign checkpoint),
